@@ -54,7 +54,7 @@ def main() -> int:
                           "campaigns": detail["campaigns"],
                           **values}), flush=True)
     print(f"{args.workload}: {args.runs} runs, reported"
-          f" {'corrected' if rows[0][0]['corrected'] else 'raw'}")
+          f" {rows[0][0]['reported']}")
     for name in rows[0][1]["metrics"]:
         line = f"  {name:12s}"
         for kind in ("raw", "corrected"):

@@ -59,3 +59,15 @@ def test_digest_is_a_pure_function_of_the_statistics():
     assert workloads.digest({"b": 1, "a": [1, 2]}) == \
         workloads.digest({"a": [1, 2], "b": 1})
     assert workloads.digest({"a": 1}) != workloads.digest({"a": 2})
+
+
+def test_alloc_open_runs_the_same_systems_for_every_seed():
+    def arrival_seeds(seed):
+        return [spec.arrival.seed
+                for spec in workloads.AllocOpen(seed, "unused").run_specs()]
+
+    assert arrival_seeds(1) == arrival_seeds(1)
+    orders = {tuple(arrival_seeds(seed)) for seed in range(1, 11)}
+    assert len(orders) > 1
+    assert {tuple(sorted(order)) for order in orders} == \
+        {tuple(sorted(workloads.AllocOpen.systems))}
